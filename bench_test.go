@@ -177,20 +177,16 @@ func BenchmarkEngineStep_LMHybrid(b *testing.B) {
 func BenchmarkRealTrainingStep(b *testing.B) {
 	b.ReportAllocs()
 	g := buildAPIModel(16, 500)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer runner.Close()
+	sess := openAPI(b, g, Uniform(2, 2), WithSparsePartitions(4))
 	ds := data.NewZipfText(500, 16, 1, 1.0, 3)
-	feeds := make([]Feed, runner.Workers())
+	feeds := make([]Feed, sess.Workers())
 	for w := range feeds {
 		batch := ds.Next()
 		feeds[w] = Feed{Ints: map[string][]int{"tokens": batch.Tokens, "labels": batch.Labels}}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(feeds); err != nil {
+		if _, err := sess.RunStep(feeds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -232,13 +228,9 @@ func buildLMBenchGraph(vocab, batch, dim int) *Graph {
 func benchTrainerSteps(b *testing.B, g *Graph, cfg Config, vocab, batch int) {
 	b.Helper()
 	b.ReportAllocs()
-	runner, err := GetRunner(g, Uniform(2, 2), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer runner.Close()
+	sess := openAPI(b, g, Uniform(2, 2), WithConfig(cfg))
 	ds := data.NewZipfText(vocab, batch, 1, 1.0, 13)
-	feeds := make([]Feed, runner.Workers())
+	feeds := make([]Feed, sess.Workers())
 	for w := range feeds {
 		bt := ds.Next()
 		feeds[w] = Feed{Ints: map[string][]int{"tokens": bt.Tokens, "labels": bt.Labels}}
@@ -246,10 +238,10 @@ func benchTrainerSteps(b *testing.B, g *Graph, cfg Config, vocab, batch int) {
 	var comm, wait time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(feeds); err != nil {
+		if _, err := sess.RunStep(feeds); err != nil {
 			b.Fatal(err)
 		}
-		ph := runner.PhaseStatsLastStep()
+		ph := sess.PhaseStatsLastStep()
 		comm += ph.Comm
 		wait += ph.SyncWait
 	}

@@ -67,8 +67,8 @@ func runCompressedSteps(t *testing.T, totalSteps int, policy CompressionPolicy, 
 // TestCompressedLossTolerance: training under each lossy policy tracks
 // the exact-f32 run closely — the loss after 10 steps stays within a
 // pinned relative tolerance. (CompressionNone itself must be bitwise
-// exact, which TestSessionStepsMatchesRunLoop already pins since the
-// zero policy is the default.)
+// exact, which the checkpoint-resume and TCP bit-identity tests already
+// pin since the zero policy is the default.)
 func TestCompressedLossTolerance(t *testing.T) {
 	const steps = 10
 	ref := runCompressedSteps(t, steps, CompressionNone)

@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
 	"parallax/internal/checkpoint"
 	"parallax/internal/cluster"
@@ -183,7 +182,8 @@ func (s *Session) transition(ctx context.Context, winner, kind int) error {
 // sdir through the resharding install. After the restore, every member
 // re-saves sdir at the new topology (between two barrier rounds, so no
 // agent reads shards mid-overwrite), making the directory a valid
-// recovery fallback at the new machine count.
+// recovery fallback at the new machine count. The joiner runs the same
+// post-restore schedule in joinCluster.
 func (s *Session) rebuildAt(ctx context.Context, sdir string, mem *transport.Membership, idx, epoch int) error {
 	meta, recs, err := checkpoint.ReadShard(sdir, 0)
 	if err != nil {
@@ -198,37 +198,12 @@ func (s *Session) rebuildAt(ctx context.Context, sdir string, mem *transport.Mem
 	dc.Addrs = mem.Addrs()
 	dc.Listener = nil
 	dc.JoinTarget, dc.JoinAddr = "", ""
-	dc.DialTimeout = s.cfg.Recovery.RedialTimeout
-	if dc.DialTimeout <= 0 {
-		dc.DialTimeout = 2 * time.Minute
-	}
+	dc.DialTimeout = rendezvousWindow(s.cfg.Recovery.RedialTimeout)
 	cfg.Dist = &dc
 	ns, err := open(ctx, s.g, newRes, cfg, &restoreSpec{meta: meta}, s.chaos)
 	if err != nil {
 		return err
 	}
-	if err := s.adoptRebuilt(ns, sdir, meta, recs); err != nil {
-		return err
-	}
-	s.resource = newRes
-	s.workers = newRes.TotalGPUs()
-	s.feeds = make([]Feed, s.workers)
-	s.cfg = cfg
-	s.dist = &dc
-	s.epoch = epoch
-	if idx == 0 {
-		// Machine 0 of the new world clears proposal debris from epochs
-		// no survivor can need again; best-effort.
-		_ = checkpoint.PruneMembershipRecords(s.cfg.AutoCheckpoint.Dir, epoch)
-	}
-	return nil
-}
-
-// adoptRebuilt installs the checkpoint into a freshly opened session,
-// runs the post-restore collective schedule (verify, install barrier,
-// resave, resave barrier), and adopts its runtime into s. Shared by the
-// survivor rebuild; the joiner runs the same schedule in joinCluster.
-func (s *Session) adoptRebuilt(ns *Session, sdir string, meta checkpoint.Meta, recs []checkpoint.Record) error {
 	if err := elasticRestore(ns, sdir, meta, recs); err != nil {
 		ns.Close()
 		return err
@@ -239,14 +214,16 @@ func (s *Session) adoptRebuilt(ns *Session, sdir string, meta checkpoint.Meta, r
 			return err
 		}
 	}
-	s.trainer = ns.trainer
-	s.plan = ns.plan
-	s.parts = ns.parts
-	s.decision = ns.decision
-	s.tunePending = ns.tunePending
-	s.saveHook = ns.saveHook
-	s.cursor = meta.Cursor
+	s.adopt(ns)
 	s.pendingSkip = 0
+	s.cfg = cfg
+	s.dist = &dc
+	s.epoch = epoch
+	if idx == 0 {
+		// Machine 0 of the new world clears proposal debris from epochs
+		// no survivor can need again; best-effort.
+		_ = checkpoint.PruneMembershipRecords(s.cfg.AutoCheckpoint.Dir, epoch)
+	}
 	return nil
 }
 
@@ -295,10 +272,7 @@ func joinCluster(ctx context.Context, g *Graph, resource ResourceInfo, cfg Confi
 	if err := resource.Validate(); err != nil {
 		return nil, err
 	}
-	timeout := d.DialTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Minute
-	}
+	timeout := rendezvousWindow(d.DialTimeout)
 	// The joiner contributes one machine: the first machine of the
 	// resource info it was launched with describes its GPUs.
 	offer, err := transport.RequestJoin(ctx, d.JoinTarget, transport.JoinRequest{
@@ -554,15 +528,7 @@ func (s *Session) Resize(ctx context.Context, resource ResourceInfo) error {
 		s.closed = true
 		return err
 	}
-	s.trainer = ns.trainer
-	s.plan = ns.plan
-	s.parts = ns.parts
-	s.resource = resource
-	s.workers = resource.TotalGPUs()
-	s.feeds = make([]Feed, s.workers)
-	s.decision = ns.decision
-	s.tunePending = ns.tunePending
-	s.saveHook = ns.saveHook
+	s.adopt(ns)
 	return nil
 }
 

@@ -8,7 +8,7 @@ import "parallax/internal/errs"
 //
 //	if errors.Is(err, parallax.ErrTopologyMismatch) { ... }
 var (
-	// ErrClosed marks an operation against a closed Session (or Runner):
+	// ErrClosed marks an operation against a closed Session:
 	// stepping, saving, or resharding after Close. It also surfaces when
 	// the wire transport shuts down underneath an in-flight
 	// parameter-server call.

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,26 +50,25 @@ func main() {
 	srcAlpha := parallax.MeasureAlpha(data.NewZipfText(srcVocab, batch, 1, 1.0, 11), srcVocab, 8)
 	dstAlpha := parallax.MeasureAlpha(data.NewZipfText(dstVocab, batch, 1, 1.0, 12), dstVocab, 8)
 
-	runner, err := parallax.GetRunner(g, parallax.Uniform(2, 2), parallax.Config{
-		NewOptimizer: func() parallax.Optimizer { return parallax.NewSGD(0.3) },
-		AlphaHint:    map[string]float64{"emb_enc": srcAlpha, "emb_dec": dstAlpha},
-		ClipNorm:     5.0,
-	})
+	sess, err := parallax.Open(context.Background(), g, parallax.Uniform(2, 2),
+		parallax.WithOptimizer(func() parallax.Optimizer { return parallax.NewSGD(0.3) }),
+		parallax.WithAlphaHints(map[string]float64{"emb_enc": srcAlpha, "emb_dec": dstAlpha}),
+		parallax.WithClipNorm(5.0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer runner.Close()
-	fmt.Print(runner.Describe())
-	fmt.Printf("alpha enc %.4f dec %.4f, partitions %d\n\n", srcAlpha, dstAlpha, runner.SparsePartitions())
+	defer sess.Close()
+	fmt.Print(sess.Describe())
+	fmt.Printf("alpha enc %.4f dec %.4f, partitions %d\n\n", srcAlpha, dstAlpha, sess.SparsePartitions())
 
-	srcShards := make([]parallax.Dataset, runner.Workers())
-	dstShards := make([]parallax.Dataset, runner.Workers())
+	srcShards := make([]parallax.Dataset, sess.Workers())
+	dstShards := make([]parallax.Dataset, sess.Workers())
 	for w := range srcShards {
-		srcShards[w] = parallax.Shard(data.NewZipfText(srcVocab, batch, 1, 1.0, 11), w, runner.Workers())
-		dstShards[w] = parallax.Shard(data.NewZipfText(dstVocab, batch, 1, 1.0, 12), w, runner.Workers())
+		srcShards[w] = parallax.Shard(data.NewZipfText(srcVocab, batch, 1, 1.0, 11), w, sess.Workers())
+		dstShards[w] = parallax.Shard(data.NewZipfText(dstVocab, batch, 1, 1.0, 12), w, sess.Workers())
 	}
 	for step := 0; step < 40; step++ {
-		feeds := make([]parallax.Feed, runner.Workers())
+		feeds := make([]parallax.Feed, sess.Workers())
 		for w := range feeds {
 			src := srcShards[w].Next()
 			dst := dstShards[w].Next()
@@ -76,7 +76,7 @@ func main() {
 				"en_texts": src.Tokens, "de_texts": dst.Tokens, "labels": dst.Labels,
 			}}
 		}
-		loss, err := runner.Run(feeds)
+		loss, err := sess.RunStep(feeds)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,7 +5,7 @@
 // StepStats / per-loop LoopStats the persistent runtime emits (loss,
 // step time, pushed and wire bytes, compute/comm/sync-wait phases,
 // overlap fraction), and the shard-map / partition-decision renderers
-// the runner and parallax-info print.
+// the session and parallax-info print.
 package metrics
 
 import (

@@ -13,7 +13,7 @@ import (
 // ShardRoute describes one variable's live sharding for reporting: which
 // synchronization method it uses and, for parameter-server variables,
 // how its rows are split into partitions and which machine owns each.
-// The runner and parallax-info render these with FormatShardMap.
+// The session and parallax-info render these with FormatShardMap.
 type ShardRoute struct {
 	Var        string
 	Method     string
@@ -27,7 +27,7 @@ type ShardRoute struct {
 // ShardRoutes derives the reportable shard map from a plan's
 // assignments: PS routes expand their row ranges partition by partition
 // (tensor.PartitionRows, the layout the servers actually use),
-// collective routes render as replicated. The runner's live ShardMap
+// collective routes render as replicated. The session's live ShardMap
 // and parallax-info's static plan view share this one translation.
 func ShardRoutes(assignments []core.Assignment) []ShardRoute {
 	routes := make([]ShardRoute, 0, len(assignments))

@@ -7,16 +7,14 @@ package parallax
 // the automatic partition search over the simulated cluster.
 //
 // The options compose left to right, so later options win; WithConfig
-// replaces the whole configuration at once, which is the migration path
-// for code that already builds a Config literal for GetRunner.
+// replaces the whole configuration at once, for code that builds a
+// Config literal.
 
 // Option configures a Session being opened.
 type Option func(*Config)
 
-// WithConfig replaces the entire configuration with c — the bridge from
-// the legacy Config-literal style: Open(ctx, g, res, WithConfig(cfg))
-// behaves exactly like GetRunner(g, res, cfg). Options after it refine
-// c further.
+// WithConfig replaces the entire configuration with c, for callers that
+// build a Config literal. Options after it refine c further.
 func WithConfig(c Config) Option { return func(dst *Config) { *dst = c } }
 
 // WithArch selects the training architecture (default Hybrid).

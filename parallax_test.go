@@ -1,6 +1,8 @@
 package parallax
 
 import (
+	"context"
+	"iter"
 	"strings"
 	"testing"
 
@@ -23,30 +25,56 @@ func buildAPIModel(batch, vocab int) *Graph {
 	return g
 }
 
-func TestGetRunnerDefaultsAndTraining(t *testing.T) {
-	g := buildAPIModel(8, 120)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: 3})
+// openAPI opens an in-process session on the given cluster, closed when
+// the test ends.
+func openAPI(t testing.TB, g *Graph, res ResourceInfo, opts ...Option) *Session {
+	t.Helper()
+	s, err := Open(context.Background(), g, res, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer runner.Close()
-	if runner.Workers() != 4 {
-		t.Fatalf("workers = %d", runner.Workers())
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// takeSteps ranges over a step iterator until n steps have been yielded,
+// passing each to observe (if non-nil), and returns their aggregate and
+// the first error the iterator yielded.
+func takeSteps(steps iter.Seq2[StepStats, error], n int, observe func(StepStats)) (LoopStats, error) {
+	var stats LoopStats
+	for st, err := range steps {
+		if err != nil {
+			return stats, err
+		}
+		stats.Observe(st)
+		if observe != nil {
+			observe(st)
+		}
+		if stats.Steps == n {
+			break
+		}
 	}
-	ds := data.NewZipfText(120, 8, 1, 1.0, 5)
-	shards := make([]Dataset, runner.Workers())
+	return stats, nil
+}
+
+func TestOpenDefaultsAndTraining(t *testing.T) {
+	g := buildAPIModel(8, 120)
+	sess := openAPI(t, g, Uniform(2, 2), WithSparsePartitions(3))
+	if sess.Workers() != 4 {
+		t.Fatalf("workers = %d", sess.Workers())
+	}
+	shards := make([]Dataset, sess.Workers())
 	for w := range shards {
-		shards[w] = Shard(data.NewZipfText(120, 8, 1, 1.0, 5), w, runner.Workers())
+		shards[w] = Shard(data.NewZipfText(120, 8, 1, 1.0, 5), w, sess.Workers())
 	}
-	_ = ds
 	var first, last float64
 	for step := 0; step < 20; step++ {
-		feeds := make([]Feed, runner.Workers())
+		feeds := make([]Feed, sess.Workers())
 		for w := range feeds {
-			b := shards[w].(*data.Shard).Next()
+			b := shards[w].Next()
 			feeds[w] = Feed{Ints: map[string][]int{"tokens": b.Tokens, "labels": b.Labels}}
 		}
-		loss, err := runner.Run(feeds)
+		loss, err := sess.RunStep(feeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,13 +89,7 @@ func TestGetRunnerDefaultsAndTraining(t *testing.T) {
 }
 
 func TestDescribeShowsHybridSplit(t *testing.T) {
-	g := buildAPIModel(4, 50)
-	runner, err := GetRunner(g, Uniform(2, 1), Config{SparsePartitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runner.Close()
-	d := runner.Describe()
+	d := openAPI(t, buildAPIModel(4, 50), Uniform(2, 1), WithSparsePartitions(2)).Describe()
 	if !strings.Contains(d, "embedding") || !strings.Contains(d, "ps") {
 		t.Errorf("Describe missing PS route:\n%s", d)
 	}
@@ -79,42 +101,22 @@ func TestDescribeShowsHybridSplit(t *testing.T) {
 	}
 }
 
-func TestRunnerCloseIdempotent(t *testing.T) {
-	g := buildAPIModel(8, 120)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := data.NewZipfText(120, 8, 1, 1.0, 5)
-	if _, err := runner.RunLoop(ds, 2); err != nil {
-		t.Fatal(err)
-	}
-	runner.Close()
-	runner.Close() // second Close must be a no-op, not a panic
-}
-
 func TestAutomaticPartitionSearch(t *testing.T) {
-	g := buildAPIModel(8, 2000)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{
-		AlphaHint: map[string]float64{"embedding": 0.02},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runner.Close()
-	p := runner.SparsePartitions()
+	sess := openAPI(t, buildAPIModel(8, 2000), Uniform(2, 2),
+		WithAlphaHints(map[string]float64{"embedding": 0.02}))
+	p := sess.SparsePartitions()
 	if p < 1 || p > 2000 {
 		t.Fatalf("searched partitions = %d out of range", p)
 	}
 	// A quick step must work with the searched partitioning.
-	feeds := make([]Feed, runner.Workers())
+	feeds := make([]Feed, sess.Workers())
 	for w := range feeds {
 		feeds[w] = Feed{Ints: map[string][]int{
 			"tokens": {1, 2, 3, 4, 5, 6, 7, 8},
 			"labels": {0, 1, 2, 3, 4, 5, 6, 7},
 		}}
 	}
-	if _, err := runner.Run(feeds); err != nil {
+	if _, err := sess.RunStep(feeds); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,13 +128,9 @@ func TestDenseOnlyGraphSkipsSearchAndServers(t *testing.T) {
 	labels := g.Input("labels", Int, 4)
 	w := g.Variable("w", rng.RandN(0.2, 8, 5))
 	g.SoftmaxCE(g.MatMul(x, w), labels)
-	runner, err := GetRunner(g, Uniform(2, 1), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runner.Close()
-	if runner.SparsePartitions() != 1 {
-		t.Fatalf("dense model searched partitions: %d", runner.SparsePartitions())
+	sess := openAPI(t, g, Uniform(2, 1))
+	if sess.SparsePartitions() != 1 {
+		t.Fatalf("dense model searched partitions: %d", sess.SparsePartitions())
 	}
 	feeds := make([]Feed, 2)
 	for i := range feeds {
@@ -141,34 +139,31 @@ func TestDenseOnlyGraphSkipsSearchAndServers(t *testing.T) {
 			Ints:   map[string][]int{"labels": {0, 1, 2, 3}},
 		}
 	}
-	if _, err := runner.Run(feeds); err != nil {
+	if _, err := sess.RunStep(feeds); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestGetRunnerValidations(t *testing.T) {
+func TestOpenValidations(t *testing.T) {
+	ctx := context.Background()
 	g := NewGraph()
 	g.Input("x", Float, 1, 1) // no loss
-	if _, err := GetRunner(g, Uniform(1, 1), Config{}); err == nil {
+	if _, err := Open(ctx, g, Uniform(1, 1)); err == nil {
 		t.Fatal("graph without loss must fail")
 	}
 	g2 := buildAPIModel(2, 10)
-	if _, err := GetRunner(g2, ResourceInfo{}, Config{}); err == nil {
+	if _, err := Open(ctx, g2, ResourceInfo{}); err == nil {
 		t.Fatal("empty resources must fail")
 	}
 }
 
-func TestRunLoopPublicAPI(t *testing.T) {
-	g := buildAPIModel(8, 150)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runner.Close()
+func TestStepsPublicAPI(t *testing.T) {
+	sess := openAPI(t, buildAPIModel(8, 150), Uniform(2, 2), WithSparsePartitions(3))
 
 	var hookSteps int
 	var lastStats StepStats
-	stats, err := runner.RunLoop(data.NewZipfText(150, 8, 1, 1.0, 21), 25, func(s StepStats) {
+	ctx := context.Background()
+	stats, err := takeSteps(sess.Steps(ctx, data.NewZipfText(150, 8, 1, 1.0, 21)), 25, func(s StepStats) {
 		if s.Step != hookSteps {
 			t.Errorf("hook saw step %d, want %d", s.Step, hookSteps)
 		}
@@ -182,7 +177,7 @@ func TestRunLoopPublicAPI(t *testing.T) {
 		t.Fatalf("ran %d hook steps, stats counted %d, want 25", hookSteps, stats.Steps)
 	}
 	if !(stats.LastLoss < stats.FirstLoss) {
-		t.Fatalf("RunLoop loss did not decrease: %v -> %v", stats.FirstLoss, stats.LastLoss)
+		t.Fatalf("Steps loss did not decrease: %v -> %v", stats.FirstLoss, stats.LastLoss)
 	}
 	if lastStats.BytesPushed <= 0 || stats.TotalBytesPushed <= 0 {
 		t.Fatalf("push-byte metrics missing: step %d total %d", lastStats.BytesPushed, stats.TotalBytesPushed)
@@ -192,31 +187,28 @@ func TestRunLoopPublicAPI(t *testing.T) {
 	}
 }
 
-func TestRunLoopFeedsCustomInputs(t *testing.T) {
-	// A dense-only graph without tokens/labels inputs: RunLoop must refuse
-	// it with a helpful error, RunLoopFeeds must drive it.
+func TestStepsFeedsCustomInputs(t *testing.T) {
+	// A dense-only graph without tokens/labels inputs: Steps must refuse
+	// it with a helpful error, StepsFeeds must drive it.
 	rng := NewRNG(8)
 	g := NewGraph()
 	x := g.Input("x", Float, 4, 6)
 	labels := g.Input("y", Int, 4)
 	w := g.Variable("w", rng.RandN(0.2, 6, 3))
 	g.SoftmaxCE(g.MatMul(x, w), labels)
-	runner, err := GetRunner(g, Uniform(2, 1), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runner.Close()
+	sess := openAPI(t, g, Uniform(2, 1))
+	ctx := context.Background()
 
-	if _, err := runner.RunLoop(data.NewZipfText(10, 4, 1, 1.0, 3), 1); err == nil {
-		t.Fatal("RunLoop on a graph without tokens/labels inputs must fail")
+	if _, err := takeSteps(sess.Steps(ctx, data.NewZipfText(10, 4, 1, 1.0, 3)), 1, nil); err == nil {
+		t.Fatal("Steps on a graph without tokens/labels inputs must fail")
 	}
 
-	stats, err := runner.RunLoopFeeds(func(step, worker int) (Feed, error) {
+	stats, err := takeSteps(sess.StepsFeeds(ctx, func(step, worker int) (Feed, error) {
 		return Feed{
 			Floats: map[string]*Dense{"x": rng.RandN(1, 4, 6)},
 			Ints:   map[string][]int{"y": {0, 1, 2, 0}},
 		}, nil
-	}, 5)
+	}), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,12 +218,12 @@ func TestRunLoopFeedsCustomInputs(t *testing.T) {
 
 	// A transposed float feed has the right element count but the wrong
 	// shape; it must be rejected before dispatch, not crash a worker.
-	_, err = runner.RunLoopFeeds(func(step, worker int) (Feed, error) {
+	_, err = takeSteps(sess.StepsFeeds(ctx, func(step, worker int) (Feed, error) {
 		return Feed{
 			Floats: map[string]*Dense{"x": rng.RandN(1, 6, 4)},
 			Ints:   map[string][]int{"y": {0, 1, 2, 0}},
 		}, nil
-	}, 1)
+	}), 1, nil)
 	if err == nil {
 		t.Fatal("transposed float feed must fail")
 	}
@@ -252,26 +244,20 @@ func TestMeasureAlphaPublicAPI(t *testing.T) {
 // through hooks and stats).
 func TestAutoPartitionOnlineSearch(t *testing.T) {
 	const vocab, batch, steps = 600, 8, 30
-	g := buildAPIModel(batch, vocab)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{
-		AutoPartition: true,
-		AlphaHint:     map[string]float64{"embedding": 0.05},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runner.Close()
+	sess := openAPI(t, buildAPIModel(batch, vocab), Uniform(2, 2),
+		WithAutoPartition(), WithAlphaHints(map[string]float64{"embedding": 0.05}))
 
-	d := runner.PartitionDecision()
+	d := sess.PartitionDecision()
 	if !d.Pending || d.Source != "online" {
 		t.Fatalf("pre-loop decision = %+v, want pending online", d)
 	}
-	if runner.SparsePartitions() != 2 {
-		t.Fatalf("initial P = %d, want the machine count", runner.SparsePartitions())
+	if sess.SparsePartitions() != 2 {
+		t.Fatalf("initial P = %d, want the machine count", sess.SparsePartitions())
 	}
 
 	hookSteps := 0
-	stats, err := runner.RunLoop(data.NewZipfText(vocab, batch, 1, 1.0, 11), steps, func(s StepStats) {
+	ctx := context.Background()
+	stats, err := takeSteps(sess.Steps(ctx, data.NewZipfText(vocab, batch, 1, 1.0, 11)), steps, func(s StepStats) {
 		if s.Step != hookSteps {
 			t.Errorf("hook saw step %d, want %d", s.Step, hookSteps)
 		}
@@ -284,7 +270,7 @@ func TestAutoPartitionOnlineSearch(t *testing.T) {
 		t.Fatalf("ran %d hook steps, stats counted %d, want %d", hookSteps, stats.Steps, steps)
 	}
 
-	d = runner.PartitionDecision()
+	d = sess.PartitionDecision()
 	if d.Pending || d.Source != "online" || d.Search == nil {
 		t.Fatalf("post-loop decision = %+v, want settled online search", d)
 	}
@@ -303,77 +289,44 @@ func TestAutoPartitionOnlineSearch(t *testing.T) {
 	if d.P < lo || d.P > hi {
 		t.Fatalf("chosen P=%d outside the sampled bracket [%d,%d]", d.P, lo, hi)
 	}
-	if runner.SparsePartitions() != d.P {
-		t.Fatalf("runtime at P=%d, decision says %d", runner.SparsePartitions(), d.P)
+	if sess.SparsePartitions() != d.P {
+		t.Fatalf("runtime at P=%d, decision says %d", sess.SparsePartitions(), d.P)
 	}
 
 	// A second loop must not re-run the tuning phase.
-	if _, err := runner.RunLoop(data.NewZipfText(vocab, batch, 1, 1.0, 12), 2); err != nil {
+	if _, err := takeSteps(sess.Steps(ctx, data.NewZipfText(vocab, batch, 1, 1.0, 12)), 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if runner.PartitionDecision().P != d.P {
-		t.Fatal("second RunLoop re-tuned the partitioning")
+	if sess.PartitionDecision().P != d.P {
+		t.Fatal("second Steps loop re-tuned the partitioning")
 	}
 }
 
-// TestAutoPartitionTruncatedBudget: a RunLoop too short to finish the
-// tuning phase must still run exactly `steps` steps, settle on a
-// sampled point, and render a decision without NaN thetas (probes the
-// budget cannot afford are skipped before resharding and excluded from
-// the fit).
-func TestAutoPartitionTruncatedBudget(t *testing.T) {
-	const vocab, batch, steps = 400, 8, 8 // room for ~2 probes of 3 steps
-	g := buildAPIModel(batch, vocab)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{AutoPartition: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runner.Close()
-	stats, err := runner.RunLoop(data.NewZipfText(vocab, batch, 1, 1.0, 19), steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Steps != steps {
-		t.Fatalf("ran %d steps, want %d", stats.Steps, steps)
-	}
-	d := runner.PartitionDecision()
-	if d.Pending || d.Search == nil || d.P < 1 {
-		t.Fatalf("truncated tuning left decision %+v", d)
-	}
-	if out := d.String(); strings.Contains(out, "NaN") {
-		t.Fatalf("decision renders NaN thetas:\n%s", out)
-	}
-}
-
-// TestPublicRepartitionLossless drives Runner.Repartition directly: a
+// TestPublicRepartitionLossless drives Session.Repartition directly: a
 // run that reshards mid-training must keep a loss trajectory
-// bit-identical to a runner configured with the target P from the
+// bit-identical to a session configured with the target P from the
 // start (the transform-level tests pin the same property per-variable
 // and over TCP; this covers the public wiring).
 func TestPublicRepartitionLossless(t *testing.T) {
 	const vocab, batch, steps, switchAt = 300, 8, 6, 3
 	run := func(startP int, reshardTo int) []float64 {
-		g := buildAPIModel(batch, vocab)
-		runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: startP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer runner.Close()
+		sess := openAPI(t, buildAPIModel(batch, vocab), Uniform(2, 2), WithSparsePartitions(startP))
+		ctx := context.Background()
 		ds := data.NewZipfText(vocab, batch, 1, 1.0, 13)
 		var losses []float64
 		hook := func(s StepStats) { losses = append(losses, s.Loss) }
-		if _, err := runner.RunLoop(ds, switchAt, hook); err != nil {
+		if _, err := takeSteps(sess.Steps(ctx, ds), switchAt, hook); err != nil {
 			t.Fatal(err)
 		}
 		if reshardTo > 0 {
-			if err := runner.Repartition(reshardTo); err != nil {
+			if err := sess.Repartition(reshardTo); err != nil {
 				t.Fatal(err)
 			}
-			if runner.SparsePartitions() != reshardTo {
-				t.Fatalf("SparsePartitions() = %d after Repartition(%d)", runner.SparsePartitions(), reshardTo)
+			if sess.SparsePartitions() != reshardTo {
+				t.Fatalf("SparsePartitions() = %d after Repartition(%d)", sess.SparsePartitions(), reshardTo)
 			}
 		}
-		if _, err := runner.RunLoop(ds, steps-switchAt, hook); err != nil {
+		if _, err := takeSteps(sess.Steps(ctx, ds), steps-switchAt, hook); err != nil {
 			t.Fatal(err)
 		}
 		return losses
@@ -391,26 +344,21 @@ func TestPublicRepartitionLossless(t *testing.T) {
 // the shard map names every route with its partition→machine
 // assignment, and Describe carries the partition decision.
 func TestShardMapAndDecisionReporting(t *testing.T) {
-	g := buildAPIModel(4, 50)
-	runner, err := GetRunner(g, Uniform(2, 1), Config{SparsePartitions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runner.Close()
-	sm := runner.ShardMap()
+	sess := openAPI(t, buildAPIModel(4, 50), Uniform(2, 1), WithSparsePartitions(3))
+	sm := sess.ShardMap()
 	for _, want := range []string{"embedding", "ps x3", "->m", "rows/server:", "proj", "replicated"} {
 		if !strings.Contains(sm, want) {
 			t.Errorf("shard map missing %q:\n%s", want, sm)
 		}
 	}
-	if d := runner.Describe(); !strings.Contains(d, "partitions: 3 (fixed)") {
+	if d := sess.Describe(); !strings.Contains(d, "partitions: 3 (fixed)") {
 		t.Errorf("Describe missing partition decision:\n%s", d)
 	}
 	// After a live reshard the map must reflect the new partitioning.
-	if err := runner.Repartition(2); err != nil {
+	if err := sess.Repartition(2); err != nil {
 		t.Fatal(err)
 	}
-	if sm := runner.ShardMap(); !strings.Contains(sm, "ps x2") {
+	if sm := sess.ShardMap(); !strings.Contains(sm, "ps x2") {
 		t.Errorf("shard map not updated after reshard:\n%s", sm)
 	}
 }
@@ -426,19 +374,19 @@ func TestConfigVariants(t *testing.T) {
 		{Arch: Hybrid, SparsePartitions: 2, DenseAgg: AggSum, SparseAgg: AggSum,
 			NewOptimizer: func() Optimizer { return NewMomentum(0.01, 0.9) }},
 	} {
-		runner, err := GetRunner(g, Uniform(2, 1), cfg)
+		sess, err := Open(context.Background(), g, Uniform(2, 1), WithConfig(cfg))
 		if err != nil {
 			t.Fatalf("config %+v: %v", cfg, err)
 		}
-		feeds := make([]Feed, runner.Workers())
+		feeds := make([]Feed, sess.Workers())
 		for w := range feeds {
 			feeds[w] = Feed{Ints: map[string][]int{
 				"tokens": {1, 2, 3, 4}, "labels": {5, 6, 7, 8},
 			}}
 		}
-		if _, err := runner.Run(feeds); err != nil {
+		if _, err := sess.RunStep(feeds); err != nil {
 			t.Fatalf("config %+v: step: %v", cfg, err)
 		}
-		runner.Close()
+		sess.Close()
 	}
 }

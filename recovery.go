@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"parallax/internal/chaos"
@@ -237,9 +236,8 @@ func (d *stepDriver) recoverable(err error) bool {
 	if s.dist == nil || !s.cfg.Recovery.Enabled || s.cfg.AutoCheckpoint.Dir == "" {
 		return false
 	}
-	// Recovery rewinds the step counter, which only the unbounded
-	// iterators tolerate; it also needs the feed log to replay from.
-	if d.limit != math.MaxInt || s.replay == nil {
+	// Recovery rewinds the step counter and replays from the feed log.
+	if s.replay == nil {
 		return false
 	}
 	// Under an elastic shrink policy a self-attributed failure is
@@ -316,10 +314,7 @@ func (s *Session) recoverInPlace(ctx context.Context) error {
 	cfg := s.cfg
 	dc := *s.cfg.Dist
 	dc.Listener = nil
-	dc.DialTimeout = s.cfg.Recovery.RedialTimeout
-	if dc.DialTimeout <= 0 {
-		dc.DialTimeout = 2 * time.Minute
-	}
+	dc.DialTimeout = rendezvousWindow(s.cfg.Recovery.RedialTimeout)
 	cfg.Dist = &dc
 	ns, err := open(ctx, s.g, s.resource, cfg, &restoreSpec{meta: meta}, s.chaos)
 	if err != nil {
@@ -341,17 +336,31 @@ func (s *Session) recoverInPlace(ctx context.Context) error {
 		ns.Close()
 		return err
 	}
-	s.trainer = ns.trainer
-	s.plan = ns.plan
-	s.parts = ns.parts
-	s.decision = ns.decision
-	s.tunePending = ns.tunePending
-	s.saveHook = ns.saveHook
-	s.cursor = meta.Cursor
+	s.adopt(ns)
 	s.pendingSkip = 0
 	s.epoch = epoch
 	s.recoveries++
 	return nil
+}
+
+// adopt takes over a rebuilt session's runtime: its trainer, plan,
+// partition decision, world size, and restored dataset cursor. The
+// caller has already closed the runtime being replaced.
+func (s *Session) adopt(ns *Session) {
+	s.trainer, s.plan, s.parts = ns.trainer, ns.plan, ns.parts
+	s.decision, s.tunePending, s.saveHook = ns.decision, ns.tunePending, ns.saveHook
+	s.resource, s.workers, s.feeds = ns.resource, ns.workers, ns.feeds
+	s.cursor = ns.cursor
+}
+
+// rendezvousWindow is the re-rendezvous deadline of a fabric rebuild or
+// join: the configured timeout, or two minutes — long enough for a
+// supervisor to restart a dead agent — when it is unset.
+func rendezvousWindow(d time.Duration) time.Duration {
+	if d <= 0 {
+		return 2 * time.Minute
+	}
+	return d
 }
 
 // Epoch returns the fabric generation the session is currently running

@@ -50,14 +50,13 @@ import (
 // yield context.Canceled.
 //
 // In distributed mode the step drivers are collective operations:
-// every agent must run the same sequence of loops with the same bounds
-// over the same steps (identical binaries do this naturally). Within
-// that contract the agents may end a loop by any mechanism — the
-// per-step agreement keeps them at the same boundary.
+// every agent must run the same sequence of loops (identical binaries
+// do this naturally). Within that contract the agents may end a loop by
+// any mechanism — the per-step agreement keeps them at the same
+// boundary.
 //
 // A Session must not run Steps, Save, or Repartition concurrently with
-// each other. GetRunner remains as a thin compatibility wrapper over
-// Open for existing code.
+// each other.
 type Session struct {
 	g        *Graph
 	trainer  *transform.Trainer
@@ -148,10 +147,9 @@ type restoreSpec struct {
 	meta checkpoint.Meta
 }
 
-// open is the shared constructor behind Open, GetRunner,
-// OpenFromCheckpoint, and the in-place recovery rebuild. inj carries a
-// chaos injector across fabric rebuilds (nil creates one from
-// DistConfig.Chaos when armed).
+// open is the shared constructor behind Open, OpenFromCheckpoint, and
+// the in-place recovery rebuild. inj carries a chaos injector across
+// fabric rebuilds (nil creates one from DistConfig.Chaos when armed).
 func open(ctx context.Context, g *Graph, resource ResourceInfo, cfg Config, restore *restoreSpec, inj *chaos.Injector) (*Session, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -507,6 +505,14 @@ func (s *Session) Save(dir string) error {
 	return nil
 }
 
+// StepStats is one training step's measurements (loss, wall-clock step
+// time, gradient bytes pushed to the synchronization layer).
+type StepStats = metrics.StepStats
+
+// LoopStats aggregates StepStats over a training loop (Observe each
+// step the iterator yields).
+type LoopStats = metrics.LoopStats
+
 // Steps returns the step iterator for a token-model graph: each
 // iteration draws one batch per worker from ds (successive batches to
 // successive workers, so one endless stream is consumed as disjoint
@@ -540,7 +546,7 @@ func (s *Session) Steps(ctx context.Context, ds Dataset) iter.Seq2[StepStats, er
 		if s.cfg.AutoCheckpoint.Dir != "" && s.replay == nil {
 			s.replay = &feedLog{base: s.cursor, saves: []int64{s.cursor}}
 		}
-		s.drive(ctx, s.datasetFeeds(ds), math.MaxInt, yield)
+		s.drive(ctx, s.datasetFeeds(ds), yield)
 	}
 }
 
@@ -551,7 +557,7 @@ func (s *Session) Steps(ctx context.Context, ds Dataset) iter.Seq2[StepStats, er
 // checkpoint.
 func (s *Session) StepsFeeds(ctx context.Context, next func(step, worker int) (Feed, error)) iter.Seq2[StepStats, error] {
 	return func(yield func(StepStats, error) bool) {
-		s.drive(ctx, next, math.MaxInt, yield)
+		s.drive(ctx, next, yield)
 	}
 }
 
@@ -580,19 +586,16 @@ const (
 	tuneMaxRuns       = 5
 )
 
-// stepDriver is one drive call's state: the loop that Steps,
-// StepsFeeds, and the Runner compatibility wrappers all share.
+// stepDriver is one drive call's state: the loop that Steps and
+// StepsFeeds share.
 type stepDriver struct {
 	s     *Session
 	ctx   context.Context
 	next  func(step, worker int) (Feed, error)
-	base  int // trainer step count at entry
-	limit int // maximum steps this drive may run
 	yield func(StepStats, error) bool
-	// agree: fold stop decisions cluster-wide (every distributed drive,
-	// whatever its context or wrapper), so all agents run the same
-	// agreement schedule and end at the same boundary — a cluster may
-	// freely mix Steps and legacy RunLoop drivers.
+	// agree: fold stop decisions cluster-wide (every distributed drive),
+	// so all agents run the same agreement schedule and end at the same
+	// boundary.
 	agree   bool
 	stopped bool // consumer broke out; never call yield again
 	// maxEmitted is the highest step number yielded by this drive; after
@@ -601,17 +604,16 @@ type stepDriver struct {
 	maxEmitted int
 }
 
-// drive runs up to limit steps, yielding each step's stats: the single
-// code path behind the public iterators and the RunLoop wrappers,
-// including the tune-while-training phase of WithAutoPartition.
-func (s *Session) drive(ctx context.Context, next func(step, worker int) (Feed, error), limit int, yield func(StepStats, error) bool) {
+// drive runs steps until the agreed stop, yielding each step's stats:
+// the single code path behind the public iterators, including the
+// tune-while-training phase of WithAutoPartition.
+func (s *Session) drive(ctx context.Context, next func(step, worker int) (Feed, error), yield func(StepStats, error) bool) {
 	if s.closed {
 		yield(StepStats{}, fmt.Errorf("parallax: steps on %w session", ErrClosed))
 		return
 	}
 	d := &stepDriver{
-		s: s, ctx: ctx, next: next, base: s.trainer.StepCount(), limit: limit,
-		yield: yield, agree: s.trainer.Distributed(),
+		s: s, ctx: ctx, next: next, yield: yield, agree: s.trainer.Distributed(),
 		maxEmitted: s.trainer.StepCount() - 1,
 	}
 	d.run()
@@ -672,7 +674,7 @@ func (d *stepDriver) run() {
 			return
 		}
 	}
-	for s.trainer.StepCount()-d.base < d.limit {
+	for {
 		if stop, err := d.shouldStop(); stop {
 			if err != nil && d.recoverable(err) {
 				if rerr := d.recover(err); rerr != nil {
@@ -732,15 +734,6 @@ func (d *stepDriver) run() {
 			}
 		}
 	}
-	// A bounded drive's limit exit runs one final agreement, so every
-	// exit path — limit, break, cancellation — performs exactly
-	// steps+1 agreement rounds. Agents that end the loop at the same
-	// step therefore stay aligned even when they end it by different
-	// mechanisms (one breaks out of Steps while another exhausts a
-	// RunLoop budget).
-	if d.agree {
-		_, _ = s.trainer.AgreeStop(true)
-	}
 }
 
 // tune is the tune-while-training phase: it drives the §3.2 sampling
@@ -748,22 +741,13 @@ func (d *stepDriver) run() {
 // candidate P, and settles on the optimum. Measured times are folded to
 // a cluster-wide maximum through the collective layer, so in
 // distributed mode every agent derives the same probe sequence from the
-// same numbers and the repartition protocol stays in lockstep. Probes
-// that would overrun the drive's step budget are skipped identically on
-// every agent, and a cancellation is observed (cluster-agreed) before
-// every probe step.
+// same numbers and the repartition protocol stays in lockstep. A
+// cancellation is observed (cluster-agreed) before every probe step.
 func (d *stepDriver) tune() error {
 	s := d.s
 	var runErr error
 	measure := func(p int) float64 {
 		if runErr != nil {
-			return math.Inf(1)
-		}
-		// Budget first, reshard second: an exhausted budget must not pay
-		// for a state migration it will never measure. The check depends
-		// only on counters identical on every agent, so the skip stays in
-		// lockstep.
-		if s.trainer.StepCount()-d.base+tuneStepsPerProbe > d.limit {
 			return math.Inf(1)
 		}
 		if err := s.Repartition(p); err != nil {
@@ -893,6 +877,45 @@ func (s *Session) Close() error {
 	return nil
 }
 
+// PartitionSearch is the sampling search's outcome: the sampled
+// operating points, the fitted Eq. 1 cost model, the chosen P, and the
+// measurement-run budget consumed.
+type PartitionSearch = partition.SearchResult
+
+// PartitionSample is one measured (P, iteration time) operating point.
+type PartitionSample = partition.Sample
+
+// PartitionCostModel is the fitted iter_time(P) = θ0 + θ1/P + θ2·P.
+type PartitionCostModel = partition.CostModel
+
+// PartitionDecision reports how the sparse-variable partition count was
+// chosen (§3.2): fixed by configuration, searched over the simulated
+// cluster, or tuned online against real measured steps.
+type PartitionDecision struct {
+	// P is the partition count in effect.
+	P int
+	// Source is "fixed", "simulated" (search over the discrete-event
+	// engine), or "online" (WithAutoPartition's tune-while-training
+	// search on the live runtime).
+	Source string
+	// Pending marks an online search that has not run yet; it runs
+	// during the first Steps / StepsFeeds iteration.
+	Pending bool
+	// Search is the search outcome; nil for fixed decisions (and for
+	// online decisions still pending).
+	Search *PartitionSearch
+}
+
+// String renders the decision the way parallax-info does.
+func (d PartitionDecision) String() string {
+	src := d.Source
+	if d.Pending {
+		src += ", pending first step loop"
+		return metrics.FormatPartitionDecision(src, d.P, nil)
+	}
+	return metrics.FormatPartitionDecision(src, d.P, d.Search)
+}
+
 // PartitionDecision reports how the current partition count was chosen
 // and, for searched decisions, the sampled points and fitted cost model.
 func (s *Session) PartitionDecision() PartitionDecision { return s.decision }
@@ -904,7 +927,13 @@ func (s *Session) ShardMap() string {
 	return metrics.FormatShardMap(metrics.ShardRoutes(s.plan.Assignments))
 }
 
-// PhaseStatsLastStep returns the previous step's phase breakdown.
+// PhaseStats is the per-step phase breakdown of the slowest worker
+// (compute, synchronization busy time, and the exposed non-overlapped
+// part of it).
+type PhaseStats = transform.PhaseStats
+
+// PhaseStatsLastStep returns the previous step's phase breakdown (Steps
+// reports the same numbers through StepStats).
 func (s *Session) PhaseStatsLastStep() PhaseStats { return s.trainer.PhaseStatsLastStep() }
 
 // Workers returns the number of model replicas (total GPUs) across the

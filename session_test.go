@@ -3,9 +3,7 @@ package parallax
 // Tests for the context-first Session API: the streaming step iterator,
 // cluster-synchronized cancellation, and checkpoint/restore with
 // bit-identical resume — over the in-process fabric here and over TCP
-// in TestSessionTCP*. The Runner compatibility surface is pinned by the
-// pre-existing tests in parallax_test.go, which must keep passing
-// unmodified.
+// in TestSessionTCP*.
 
 import (
 	"context"
@@ -73,32 +71,6 @@ func runSessionSteps(t *testing.T, totalSteps int, opts ...Option) ([]float64, [
 		t.Fatal(err)
 	}
 	return losses, emb.Data()
-}
-
-// TestSessionStepsMatchesRunLoop: the streaming iterator and the legacy
-// RunLoop drive the identical schedule — per-step losses agree bit for
-// bit, and the iterator reports absolute step numbers.
-func TestSessionStepsMatchesRunLoop(t *testing.T) {
-	const steps = 8
-	g := buildAPIModel(8, 150)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runner.Close()
-	var loopLosses []float64
-	if _, err := runner.RunLoop(data.NewZipfText(150, 8, 1, 1.0, 5), steps,
-		func(st StepStats) { loopLosses = append(loopLosses, st.Loss) }); err != nil {
-		t.Fatal(err)
-	}
-
-	iterLosses, _ := runSessionSteps(t, steps, WithSparsePartitions(3))
-	for i := range loopLosses {
-		if math.Float64bits(loopLosses[i]) != math.Float64bits(iterLosses[i]) {
-			t.Fatalf("step %d: RunLoop loss %x, Steps loss %x",
-				i, math.Float64bits(loopLosses[i]), math.Float64bits(iterLosses[i]))
-		}
-	}
 }
 
 // TestSessionCheckpointResumeBitIdentical is the tentpole acceptance
@@ -375,33 +347,16 @@ func sessionTCPPair(t *testing.T, opts ...Option) [2]*Session {
 	return sessions
 }
 
-// TestSessionTCPCancelAgreed: with cancellable contexts, one agent's
-// cancellation ends BOTH agents' iterators at the same step boundary
-// (cluster-agreed stop), both sessions close cleanly, and no goroutines
-// leak.
-func TestSessionTCPCancelAgreed(t *testing.T) {
-	base := runtime.NumGoroutine()
-	sessions := sessionTCPPair(t, WithSparsePartitions(3))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	lastStep := [2]int{-1, -1}
-	finalErr := [2]error{}
+// bothAgents runs body concurrently for agents 0 and 1 and waits for
+// both, failing the test if they have not finished within 30s.
+func bothAgents(t *testing.T, what string, body func(p int)) {
+	t.Helper()
 	var wg sync.WaitGroup
 	for p := 0; p < 2; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for st, err := range sessions[p].Steps(ctx, data.NewZipfText(150, 8, 1, 1.0, 5)) {
-				if err != nil {
-					finalErr[p] = err
-					continue
-				}
-				lastStep[p] = st.Step
-				// Only agent 0 cancels; agent 1 must stop via the agreement.
-				if p == 0 && st.Step == 2 {
-					cancel()
-				}
-			}
+			body(p)
 		}(p)
 	}
 	done := make(chan struct{})
@@ -409,8 +364,55 @@ func TestSessionTCPCancelAgreed(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("agreed cancellation did not end both loops")
+		t.Fatal(what)
 	}
+}
+
+// TestSessionTCPCancelAgreed: with cancellable contexts, one agent's
+// cancellation ends BOTH agents' iterators at the same step boundary
+// (cluster-agreed stop). The same holds when one agent breaks out of a
+// StepsFeeds range instead, and a later drive on the same sessions is
+// still aligned: every loss matches an uninterrupted in-process run
+// bit for bit. Both sessions close cleanly and no goroutines leak.
+func TestSessionTCPCancelAgreed(t *testing.T) {
+	const total = 10
+	ref, _ := runSessionSteps(t, total, WithSparsePartitions(3))
+	// The batches Steps draws, indexed by (step, worker), so StepsFeeds
+	// drives see the same stream.
+	ds := data.NewZipfText(150, 8, 1, 1.0, 5)
+	feeds := make([]Feed, total*4)
+	for i := range feeds {
+		b := ds.Next()
+		feeds[i] = Feed{Ints: map[string][]int{"tokens": b.Tokens, "labels": b.Labels}}
+	}
+	next := func(step, worker int) (Feed, error) { return feeds[step*4+worker], nil }
+	checkLoss := func(p int, st StepStats) {
+		if math.Float64bits(st.Loss) != math.Float64bits(ref[st.Step]) {
+			t.Errorf("agent %d step %d loss %x, in-process %x",
+				p, st.Step, math.Float64bits(st.Loss), math.Float64bits(ref[st.Step]))
+		}
+	}
+
+	base := runtime.NumGoroutine()
+	sessions := sessionTCPPair(t, WithSparsePartitions(3))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	lastStep := [2]int{-1, -1}
+	finalErr := [2]error{}
+	bothAgents(t, "agreed cancellation did not end both loops", func(p int) {
+		for st, err := range sessions[p].Steps(ctx, data.NewZipfText(150, 8, 1, 1.0, 5)) {
+			if err != nil {
+				finalErr[p] = err
+				continue
+			}
+			checkLoss(p, st)
+			lastStep[p] = st.Step
+			// Only agent 0 cancels; agent 1 must stop via the agreement.
+			if p == 0 && st.Step == 2 {
+				cancel()
+			}
+		}
+	})
 	for p := 0; p < 2; p++ {
 		if !errors.Is(finalErr[p], context.Canceled) {
 			t.Fatalf("agent %d ended with %v, want context.Canceled", p, finalErr[p])
@@ -419,8 +421,58 @@ func TestSessionTCPCancelAgreed(t *testing.T) {
 	if lastStep[0] != lastStep[1] {
 		t.Fatalf("agents stopped at different steps: %d vs %d", lastStep[0], lastStep[1])
 	}
-	sessions[0].Close()
-	sessions[1].Close()
+
+	// Agent 0 breaks out of a StepsFeeds drive; agent 1's ends with
+	// context.Canceled at the same step.
+	breakAt := lastStep[0] + 2
+	finalErr = [2]error{}
+	bothAgents(t, "agreed break did not end both loops", func(p int) {
+		for st, err := range sessions[p].StepsFeeds(context.Background(), next) {
+			if err != nil {
+				finalErr[p] = err
+				continue
+			}
+			checkLoss(p, st)
+			lastStep[p] = st.Step
+			if p == 0 && st.Step == breakAt {
+				break
+			}
+		}
+	})
+	if finalErr[0] != nil || !errors.Is(finalErr[1], context.Canceled) {
+		t.Fatalf("break drive ended with %v / %v, want nil / context.Canceled", finalErr[0], finalErr[1])
+	}
+	if lastStep[0] != breakAt || lastStep[1] != breakAt {
+		t.Fatalf("agents stopped at steps %d / %d, want both at %d", lastStep[0], lastStep[1], breakAt)
+	}
+
+	// A second drive on the same sessions resumes in step.
+	first := [2]int{-1, -1}
+	finalErr = [2]error{}
+	bothAgents(t, "second drive did not finish", func(p int) {
+		for st, err := range sessions[p].StepsFeeds(context.Background(), next) {
+			if err != nil {
+				finalErr[p] = err
+				return
+			}
+			if first[p] < 0 {
+				first[p] = st.Step
+			}
+			checkLoss(p, st)
+			if st.Step == total-1 {
+				break
+			}
+		}
+	})
+	for p := 0; p < 2; p++ {
+		if finalErr[p] != nil {
+			t.Fatalf("agent %d second drive: %v", p, finalErr[p])
+		}
+		if first[p] != breakAt+1 {
+			t.Fatalf("agent %d second drive started at step %d, want %d", p, first[p], breakAt+1)
+		}
+	}
+	bothAgents(t, "close did not finish", func(p int) { sessions[p].Close() })
 	waitSessionGoroutines(t, base)
 }
 
